@@ -49,6 +49,9 @@ pub struct ModuleInfo {
     /// Pointer-name → principal map (§3.3). Multiple names may alias one
     /// principal.
     pub names: HashMap<Word, PrincipalId>,
+    /// Set when the module's principals were retired; the id then waits
+    /// on the runtime's free list until a later registration reuses it.
+    pub retired: bool,
 }
 
 impl ModuleInfo {
@@ -60,6 +63,7 @@ impl ModuleInfo {
             global,
             instances: Vec::new(),
             names: HashMap::new(),
+            retired: false,
         }
     }
 

@@ -146,9 +146,9 @@ struct PrincipalMeta {
     module: ModuleId,
     kind: PrincipalKind,
     /// Retired principals (their module was quarantined or unloaded)
-    /// hold no capabilities, are skipped by global revocation walks, and
-    /// are never current again. Ids are stable — slots are not reused —
-    /// so a retired id in an old writer set stays meaningful.
+    /// hold no capabilities, sit in no writer set, and are skipped by
+    /// global revocation walks until a later registration reuses the id
+    /// (see [`RuntimeCore::retire_module`] for the id lifecycle).
     retired: bool,
 }
 
@@ -158,10 +158,23 @@ struct PrincipalMeta {
 struct Meta {
     principals: Vec<PrincipalMeta>,
     modules: Vec<ModuleInfo>,
+    /// Retired principal ids, reused (LIFO) before `principals` grows.
+    free_principals: Vec<PrincipalId>,
+    /// Retired module ids, reused (LIFO) before `modules` grows.
+    free_modules: Vec<ModuleId>,
+    /// Principals retired so far (monotonic; the `retired` gauge).
+    retired_total: u64,
     /// The quarantine tombstone (see [`RuntimeCore::ensure_tombstone`]),
     /// created lazily so runtimes that never retire anything keep their
     /// principal numbering.
     tombstone: Option<PrincipalId>,
+}
+
+impl Meta {
+    /// Principals registered and not retired.
+    fn live_principals(&self) -> u64 {
+        (self.principals.len() - self.free_principals.len()) as u64
+    }
 }
 
 /// Interned-name tables behind the `names` lock.
@@ -197,8 +210,9 @@ impl Default for PrincipalSlot {
 
 /// Principals per slot chunk.
 const SLOT_CHUNK: usize = 64;
-/// Hard cap on principals (chunks are preallocated `OnceLock`s so slot
-/// lookup never takes a lock).
+/// Hard cap on principal ids (chunks are preallocated `OnceLock`s so
+/// slot lookup never takes a lock). Retired ids are reused, so this
+/// bounds the principals *live* at once, not those ever registered.
 const MAX_PRINCIPALS: usize = 1 << 16;
 
 /// A chunked, append-only principal-slot table: indexing is two atomic
@@ -474,38 +488,67 @@ impl RuntimeCore {
     // ------------------------------------------------------------ modules
 
     /// Registers a module, creating its shared and global principals.
+    /// Retired module and principal ids are reused before new ones are
+    /// made (see [`RuntimeCore::retire_module`]).
     pub fn register_module(&self, name: &str) -> ModuleId {
         let mut meta = self.meta.write().expect("meta lock");
-        let mid = ModuleId(meta.modules.len() as u32);
-        let shared = self.new_principal_locked(&mut meta, mid, PrincipalKind::Shared);
-        let global = self.new_principal_locked(&mut meta, mid, PrincipalKind::Global);
-        meta.modules
-            .push(ModuleInfo::new(name.to_string(), shared, global));
+        self.register_module_locked(&mut meta, name)
+    }
+
+    fn register_module_locked(&self, meta: &mut Meta, name: &str) -> ModuleId {
+        let mid = meta
+            .free_modules
+            .pop()
+            .unwrap_or(ModuleId(meta.modules.len() as u32));
+        let shared = self.new_principal_locked(meta, mid, PrincipalKind::Shared);
+        let global = self.new_principal_locked(meta, mid, PrincipalKind::Global);
+        let info = ModuleInfo::new(name.to_string(), shared, global);
+        match meta.modules.get_mut(mid.0 as usize) {
+            Some(slot) => *slot = info,
+            None => meta.modules.push(info),
+        }
         mid
     }
 
+    /// Allocates a principal id, reusing a retired one first. A reused
+    /// slot's epoch is bumped so that it exceeds every epoch the previous
+    /// tenant's guard caches were stamped with: no cached positive
+    /// decision for the old tenant can answer for the new one.
     fn new_principal_locked(
         &self,
         meta: &mut Meta,
         module: ModuleId,
         kind: PrincipalKind,
     ) -> PrincipalId {
-        let id = PrincipalId(meta.principals.len() as u32);
-        self.slots.ensure(id.0 as usize);
-        meta.principals.push(PrincipalMeta {
+        let pm = PrincipalMeta {
             module,
             kind,
             retired: false,
-        });
+        };
+        if let Some(id) = meta.free_principals.pop() {
+            let slot = self.slot(id);
+            debug_assert!(
+                slot.caps.lock().expect("caps lock").is_empty(),
+                "recycled principal {id:?} still holds capabilities"
+            );
+            slot.epoch.fetch_add(1, Ordering::AcqRel);
+            meta.principals[id.0 as usize] = pm;
+            return id;
+        }
+        let id = PrincipalId(meta.principals.len() as u32);
+        self.slots.ensure(id.0 as usize);
+        meta.principals.push(pm);
         id
     }
 
-    /// Number of registered modules.
+    /// High-water mark of module ids (retired ids are reused, so this
+    /// counts the modules live at once at the peak, plus the tombstone).
     pub fn module_count(&self) -> usize {
         self.meta.read().expect("meta lock").modules.len()
     }
 
-    /// Number of registered principals.
+    /// High-water mark of principal ids: every id in `0..principal_count()`
+    /// is either live or retired and waiting for reuse.
     pub fn principal_count(&self) -> usize {
         self.meta.read().expect("meta lock").principals.len()
     }
@@ -557,6 +600,10 @@ impl RuntimeCore {
         if let Some(p) = meta.modules[module.0 as usize].lookup_name(name) {
             return p;
         }
+        debug_assert!(
+            !meta.modules[module.0 as usize].retired,
+            "naming a principal of retired module {module:?}"
+        );
         let p = self.new_principal_locked(&mut meta, module, PrincipalKind::Instance);
         let m = &mut meta.modules[module.0 as usize];
         m.instances.push(p);
@@ -619,11 +666,8 @@ impl RuntimeCore {
         if let Some(t) = meta.tombstone {
             return t;
         }
-        let mid = ModuleId(meta.modules.len() as u32);
-        let shared = self.new_principal_locked(&mut meta, mid, PrincipalKind::Shared);
-        let global = self.new_principal_locked(&mut meta, mid, PrincipalKind::Global);
-        meta.modules
-            .push(ModuleInfo::new("<tombstone>".to_string(), shared, global));
+        let mid = self.register_module_locked(&mut meta, "<tombstone>");
+        let shared = meta.modules[mid.0 as usize].shared;
         meta.tombstone = Some(shared);
         shared
     }
@@ -633,26 +677,37 @@ impl RuntimeCore {
         self.meta.read().expect("meta lock").tombstone
     }
 
-    /// Whether a principal has been retired.
+    /// Whether a principal id is retired (and not yet reused).
     pub fn is_retired(&self, p: PrincipalId) -> bool {
         self.meta.read().expect("meta lock").principals[p.0 as usize].retired
     }
 
     /// `(live, retired)` principal counts — the leak gauges module churn
-    /// is regression-tested against.
+    /// is regression-tested against. `live` is the principals registered
+    /// and not retired; `retired` counts every retirement so far and is
+    /// monotonic even though retired ids are reused. Both are O(1).
     pub fn principal_gauges(&self) -> (u64, u64) {
         let meta = self.meta.read().expect("meta lock");
-        let retired = meta.principals.iter().filter(|p| p.retired).count() as u64;
-        (meta.principals.len() as u64 - retired, retired)
+        (meta.live_principals(), meta.retired_total)
     }
 
     /// Retires every principal of a module: WRITE coverage is moved to
     /// the tombstone (never dropped — see [`RuntimeCore::ensure_tombstone`]
     /// for why dropping would reopen the indirect-call hole), CALL and
-    /// REF capabilities are discarded, the module's instance registry and
-    /// pointer names are cleared, and each principal is marked retired.
-    /// Epochs bump per the §3.1 hierarchy as each range is revoked, so
-    /// no stale cached grant of a dead principal survives.
+    /// REF capabilities are discarded with their tables' memory, the
+    /// module's instance registry and pointer names are dropped, and each
+    /// principal is marked retired. Epochs bump per the §3.1 hierarchy as
+    /// each range is revoked, so no stale cached grant of a dead
+    /// principal survives.
+    ///
+    /// Id lifecycle: the module's id and its principals' ids then go on
+    /// free lists, and [`RuntimeCore::register_module`] and
+    /// [`RuntimeCore::principal_for_name`] reuse them before making new
+    /// ones, bumping each reused principal's epoch once more. So the
+    /// registry, and every walk over it, is sized by the modules live at
+    /// once rather than by the modules ever loaded. Retiring a module
+    /// twice is a no-op as long as its id has not been reused; after
+    /// that, the id names the new tenant.
     ///
     /// The caller must guarantee no code runs under these principals any
     /// more (the kernel's quarantine path drains in-flight executions
@@ -665,13 +720,11 @@ impl RuntimeCore {
         let mut sweep = RetireSweep::default();
         let victims: Vec<PrincipalId> = {
             let meta = self.meta.read().expect("meta lock");
-            if meta.tombstone == Some(ts) && meta.principals[ts.0 as usize].module == mid {
-                return sweep; // the tombstone module itself is immortal
+            let m = &meta.modules[mid.0 as usize];
+            if m.retired || m.shared == ts {
+                return sweep; // already retired; the tombstone is immortal
             }
-            meta.modules[mid.0 as usize]
-                .all_principals()
-                .filter(|&p| !meta.principals[p.0 as usize].retired)
-                .collect()
+            m.all_principals().collect()
         };
         for &p in &victims {
             let writes: Vec<(Word, u64)> = {
@@ -693,20 +746,25 @@ impl RuntimeCore {
                     sweep.write_caps_moved += 1;
                 }
             }
-            debug_assert_eq!(
-                self.cap_count(p),
-                0,
+            let mut caps = self.slot(p).caps.lock().expect("caps lock");
+            debug_assert!(
+                caps.is_empty(),
                 "retired principal {p:?} still holds capabilities"
             );
+            *caps = CapSet::default();
         }
         let mut meta = self.meta.write().expect("meta lock");
         for &p in &victims {
             meta.principals[p.0 as usize].retired = true;
-            sweep.principals_retired += 1;
+            meta.free_principals.push(p);
         }
+        sweep.principals_retired = victims.len() as u64;
+        meta.retired_total += sweep.principals_retired;
         let m = &mut meta.modules[mid.0 as usize];
-        m.instances.clear();
-        m.names.clear();
+        m.retired = true;
+        m.instances = Vec::new();
+        m.names = HashMap::new();
+        meta.free_modules.push(mid);
         sweep
     }
 
@@ -828,7 +886,9 @@ impl RuntimeCore {
 
     /// Revokes a capability from **every** principal in the system —
     /// `transfer` semantics (§3.3): no stale copies survive. Retired
-    /// principals hold nothing and are skipped; the tombstone is *not*
+    /// principals hold nothing and are skipped (the walk is over the id
+    /// high-water mark, which retirement's id reuse keeps at the peak
+    /// number of live principals); the tombstone is *not*
     /// retired and is visited like any writer (this is one of the
     /// channels that drains stale tombstone coverage). Returns the total
     /// epoch bumps.
@@ -927,7 +987,7 @@ impl RuntimeCore {
     /// walking every principal's table; callers in debug builds assert
     /// the hint against the full walk (see `Runtime`).
     pub fn revoke_write_overlapping_everywhere(&self, addr: Word, size: u64) -> KfreeSweep {
-        let total = self.principal_count() as u64;
+        let total = self.meta.read().expect("meta lock").live_principals();
         let hint = self
             .sharding
             .read()

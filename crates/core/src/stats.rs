@@ -132,9 +132,11 @@ pub struct GuardStats {
     /// gated on: load → crash → reclaim cycles must return it to the
     /// pre-load level.
     pub principals_live: u64,
-    /// Gauge: principals retired by module quarantine or unload.
-    /// Monotonic (retirement is permanent), which makes it the logical
-    /// clock for the principal gauge pair in [`GuardStats::merge`].
+    /// Gauge: retirements of principals by module quarantine or
+    /// unload, counted over the runtime's life. Monotonic (a retired id
+    /// is later reused, but the retirement stays counted), which makes
+    /// it the logical clock for the principal gauge pair in
+    /// [`GuardStats::merge`].
     pub principals_retired: u64,
     /// Principals a `kfree`-style sweep
     /// (`revoke_write_overlapping_everywhere`) actually visited, driven

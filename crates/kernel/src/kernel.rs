@@ -1147,12 +1147,17 @@ impl KernelCpu {
         // the trap was raised. Attribution 2: a policy violation raised
         // in *kernel* context can still name a module principal — e.g.
         // an indirect call through a slot a module planted (§4.1); the
-        // module that put the kernel in this position is the culprit.
+        // module that put the kernel in this position is the culprit. A
+        // retired culprit's module id may already name a new tenant, so
+        // it is left to the dead-module branch below.
         let attributed = executing
             .filter(|m| m.mode == IsolationMode::Lxfi && m.mid.is_some())
             .or_else(|| {
-                let mid = self.rt.principal_module(culprit?);
-                self.loaded_module_of(mid)
+                let p = culprit?;
+                if self.rt.core().is_retired(p) {
+                    return None;
+                }
+                self.loaded_module_of(self.rt.principal_module(p))
             });
 
         if let Some(m) = attributed {
@@ -1205,13 +1210,24 @@ impl KernelCpu {
         }
     }
 
-    /// The live registry entry backed by runtime module `mid`, if any.
-    /// (After slot reuse a dead module's principals resolve to no entry;
-    /// the retired-principal branch of [`KernelCpu::contain_trap`]
-    /// handles them.)
+    /// The registry entry backed by the non-retired runtime module
+    /// `mid`. Dead entries are skipped in favour of a live one: a
+    /// torn-down slot keeps its old `mid` until the slot is reused, and
+    /// the runtime may already have handed that id to a new tenant. A
+    /// dead entry is returned only when no live one has `mid`, which
+    /// means another CPU is still tearing that very module down (the
+    /// runtime frees the id only at the end of teardown); quarantining
+    /// it again just records the fault.
     fn loaded_module_of(&self, mid: lxfi_core::ModuleId) -> Option<Arc<LoadedModule>> {
         let tab = self.core.modules.read().expect("modules lock");
-        tab.modules.iter().find(|m| m.mid == Some(mid)).cloned()
+        let mut dying = None;
+        for m in tab.modules.iter().filter(|m| m.mid == Some(mid)) {
+            if !m.unloaded.load(Ordering::Acquire) {
+                return Some(Arc::clone(m));
+            }
+            dying = Some(m);
+        }
+        dying.cloned()
     }
 
     /// Quarantines a faulted module: records the structured fault, then
@@ -1246,7 +1262,8 @@ impl KernelCpu {
 
     /// The shared teardown quarantine and [`KernelCpu::unload_module`]
     /// both run: unpublish the module's name and function addresses,
-    /// wait out the RCU grace period, then reclaim every resource the
+    /// wait out the RCU grace period, drop its protocol-family and
+    /// dm-target-type registrations, then reclaim every resource the
     /// module pinned — CALL capabilities to its functions, the
     /// kernel-stack WRITE grants of §3.2, slab objects only its
     /// principals could still free — and retire its principals, moving
@@ -1282,6 +1299,13 @@ impl KernelCpu {
         while m.active.load(Ordering::Acquire) > own {
             std::thread::yield_now();
         }
+        // Forget the module's protocol-family and dm-target-type
+        // registrations: their ops tables live in the dead window, which
+        // a later load hands to another module.
+        let window = MODULE_BASE + m.slot as u64 * MODULE_STRIDE;
+        let in_window = |ops: Word| (window..window + MODULE_STRIDE).contains(&ops);
+        self.sock().families.retain(|&(_, ops)| !in_window(ops));
+        self.dm().target_types.retain(|&(_, ops)| !in_window(ops));
         let Some(mid) = m.mid else {
             return true; // stock module: no principals, nothing to reclaim
         };

@@ -232,6 +232,33 @@ fn poisoned_fn_ptr_slot_stays_dead_forever() {
     assert!(k.panic_reason().is_none());
 }
 
+/// Runtime module ids are recycled: a module loaded after another was
+/// unloaded takes its runtime id. A fault raised in kernel context that
+/// names a principal of the new tenant must quarantine the new tenant.
+#[test]
+fn recycled_module_id_blames_the_live_tenant() {
+    let mut k = Kernel::boot(IsolationMode::Lxfi);
+    let a = k.load_module(faulty_spec("a")).unwrap();
+    let mid = k.runtime_module(a).unwrap();
+    k.unload_module(a).unwrap();
+    let b = k.load_module(faulty_spec("b")).unwrap();
+    assert_eq!(k.runtime_module(b), Some(mid), "b took a's runtime id");
+
+    // b plants a pointer it holds no CALL capability for, and the
+    // kernel's indirect call through it names b's shared principal.
+    let core = k.runtime_core();
+    let slot = k.kstatic_alloc(8);
+    core.grant(core.shared_principal(mid), RawCap::write(slot, 8));
+    call(&mut k, "b", "plant", &[slot, 0xdead_0000]).unwrap();
+    let r = k.enter(|k| k.indirect_call(slot, "poisoned_t", &[7]));
+    let fault = expect_fault(r);
+    assert_eq!(fault.id, Some(b), "blamed on the live tenant");
+    assert_eq!(fault.module, "b");
+    assert_eq!(fault.mid, Some(mid));
+    assert!(!k.module_is_live(b), "b was quarantined");
+    assert!(k.panic_reason().is_none());
+}
+
 #[test]
 fn unattributable_policy_violation_still_panics() {
     // `lxfi_princ_alias` from kernel context: a policy violation with no
