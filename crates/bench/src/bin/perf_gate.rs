@@ -55,7 +55,11 @@
 //!   recoveries with traffic resuming after each re-probe, all
 //!   resource gauges flat, and zero kernel panics.
 //!
-//! Exit status: 0 = pass, 1 = regression, 2 = bad input.
+//! Exit status: 0 = pass, 1 = regression, 2 = bad input. A value that
+//! is not finite, or a wall-clock measurement (`*_ns`, `*_mops`,
+//! `*_kpps`) that reads exactly zero, is bad input: it means the
+//! measurement broke (e.g. a timer overhead subtracted below zero and
+//! clamped), and a floor compared against it would pass vacuously.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -228,9 +232,30 @@ fn parse_flat_json(text: &str) -> Result<HashMap<String, f64>, String> {
     Ok(map)
 }
 
+/// Key suffixes of wall-clock measurements, which can never be zero.
+const MEASURED_SUFFIXES: [&str; 3] = ["_ns", "_mops", "_kpps"];
+
+/// Rejects non-finite values and zero wall-clock measurements.
+fn validate(m: &HashMap<String, f64>) -> Result<(), String> {
+    let mut keys: Vec<&String> = m.keys().collect();
+    keys.sort();
+    for key in keys {
+        let v = m[key];
+        if !v.is_finite() {
+            return Err(format!("{key} is not finite ({v})"));
+        }
+        if v == 0.0 && MEASURED_SUFFIXES.iter().any(|s| key.ends_with(s)) {
+            return Err(format!("{key} measured 0.0: a broken measurement"));
+        }
+    }
+    Ok(())
+}
+
 fn load(path: &str) -> Result<HashMap<String, f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    parse_flat_json(&text).map_err(|e| format!("{path}: {e}"))
+    let m = parse_flat_json(&text).map_err(|e| format!("{path}: {e}"))?;
+    validate(&m).map_err(|e| format!("{path}: {e}"))?;
+    Ok(m)
 }
 
 fn get(m: &HashMap<String, f64>, key: &str, src: &str) -> Result<f64, String> {
@@ -676,5 +701,21 @@ mod tests {
     fn rejects_non_objects() {
         assert!(parse_flat_json("[1, 2]").is_err());
         assert!(parse_flat_json("{\"k\": \"str\"}").is_err());
+    }
+
+    #[test]
+    fn rejects_zero_and_non_finite_measurements() {
+        let ok = parse_flat_json("{\n  \"a_ns\": 1.5,\n  \"misses\": 0\n}").unwrap();
+        assert!(validate(&ok).is_ok(), "a zero counter is fine");
+        for bad in [
+            "{\"a_ns\": 0.0}",
+            "{\"mt_aggregate_1t_mops\": 0}",
+            "{\"kmt_aggregate_1t_kpps\": 0}",
+            "{\"a_ns\": NaN}",
+            "{\"ratio\": inf}",
+        ] {
+            let m = parse_flat_json(bad).unwrap();
+            assert!(validate(&m).is_err(), "{bad} must be rejected");
+        }
     }
 }

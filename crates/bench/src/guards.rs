@@ -5,7 +5,7 @@
 //! + guard-cache refactor against the paper's masked-slot linear scan.
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use lxfi_core::{
     GuardKind, LinearWriteTable, RawCap, Runtime, ThreadId, WriteTable, ALL_GUARD_KINDS,
@@ -315,16 +315,21 @@ pub const SHARED_GRANTS: usize = 512;
 pub struct RevokeHeavyLatency {
     /// Number of instance principals.
     pub principals: usize,
-    /// ns per guarded store in steady state (no churn; cache hits).
+    /// ns per guarded store in steady state: cache hits, with the same
+    /// untimed churn as `post_revoke_ns` run on a twin runtime between
+    /// bursts, so both arms pay the same cache pollution.
     pub steady_ns: f64,
-    /// ns per guarded store with an unrelated revoke+grant between every
-    /// pair of stores (churn excluded from the timing).
+    /// ns per guarded store with an unrelated revoke+grant on the
+    /// measured runtime before every timed burst (churn excluded from
+    /// the timing).
     pub post_revoke_ns: f64,
     /// ns per guarded store with the cache disabled: the full
     /// instance-miss + shared-hit interval probe every store pays when
     /// its cache entry is gone.
     pub uncached_ns: f64,
     /// Cache hit rate over the churn phase (1.0 = no store degraded).
+    /// The churn phase is an untimed pass with one unrelated
+    /// revoke+grant before every store.
     pub hit_rate: f64,
     /// Raw counters over the churn phase, for the `--json` report.
     pub cache_hits: u64,
@@ -335,15 +340,47 @@ pub struct RevokeHeavyLatency {
 }
 
 /// Per-call timing overhead of an `Instant::now()/elapsed()` pair,
-/// measured so the per-store numbers can subtract it.
+/// measured so the per-burst numbers can subtract it. Minimum over five
+/// batches, so a descheduled batch cannot inflate it past the bursts it
+/// is subtracted from.
 fn timer_overhead_ns() -> f64 {
-    let reps = 100_000u64;
-    let mut acc = std::time::Duration::ZERO;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        acc += t0.elapsed();
+    let reps = 20_000u64;
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let mut acc = Duration::ZERO;
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            acc += t0.elapsed();
+        }
+        best = best.min(acc.as_nanos() as f64 / reps as f64);
     }
-    acc.as_nanos() as f64 / reps as f64
+    best
+}
+
+/// Guarded stores per timed burst in the revoke-heavy arms, one to each
+/// of [`BURST`] shared-owned objects (the four intervals the 4-way
+/// epoch cache holds). A burst splits the timer's overhead four ways,
+/// and a revocation that wrongly invalidated the writer's cache would
+/// miss on every store of the burst, not only the first.
+pub const BURST: usize = 4;
+
+/// Times one burst of cached guarded stores, one per address.
+fn timed_burst(rt: &mut Runtime, t: ThreadId, addrs: &[u64; BURST]) -> Duration {
+    let t0 = Instant::now();
+    for &a in addrs {
+        rt.check_write(t, black_box(a), 8).unwrap();
+    }
+    t0.elapsed()
+}
+
+/// Mean duration (ns) of `bursts` timed steps `first..first + bursts`;
+/// each `step(i)` runs its untimed churn and returns its burst's time.
+fn mean_burst_ns(bursts: u64, first: u64, mut step: impl FnMut(u64) -> Duration) -> f64 {
+    let mut acc = Duration::ZERO;
+    for i in first..first + bursts {
+        acc += step(i);
+    }
+    acc.as_nanos() as f64 / bursts as f64
 }
 
 /// Builds the churn runtime: one module, `principals` instances each
@@ -385,71 +422,66 @@ pub fn churn_unrelated(rt: &mut Runtime, ps: &[lxfi_core::PrincipalId], i: u64) 
     rt.grant(ps[victim], cap);
 }
 
-/// Runs the three phases of the revoke-heavy workload. Store latencies
-/// are timed per call (the interleaved churn must not pollute them)
-/// with the timer overhead subtracted.
+/// Runs the revoke-heavy workload: an untimed churn pass for the cache
+/// counters, then the timed arms.
+///
+/// Stores are timed in bursts of [`BURST`] with the timer overhead
+/// subtracted. The steady and post-revoke arms alternate batch by batch
+/// and run the same untimed churn between bursts: the post-revoke arm
+/// on the measured runtime, the steady arm on a twin built by
+/// [`revoke_heavy_runtime`]. Only where the churn lands differs, so the
+/// ratio of the two isolates what an unrelated revocation does to the
+/// writer's cache. Each arm reports the minimum over three batches.
 pub fn revoke_heavy_comparison(principals: usize, iters: u64) -> RevokeHeavyLatency {
     let (mut rt, t, ps) = revoke_heavy_runtime(principals);
+    let (mut twin, _, twin_ps) = revoke_heavy_runtime(principals);
     let overhead = timer_overhead_ns();
-    let addr = ARENA; // shared-owned; instance 0 reaches it via fallback
-
-    // Minimum over three per-call batches, overhead subtracted — the
-    // same preemption robustness as `time_ns`, per phase.
-    fn min_batches(
-        iters: u64,
-        overhead: f64,
-        mut step: impl FnMut(u64) -> std::time::Duration,
-    ) -> f64 {
-        let batch = (iters / 3).max(1);
-        let mut best = f64::INFINITY;
-        let mut i = 0u64;
-        for _ in 0..3 {
-            let mut acc = std::time::Duration::ZERO;
-            for _ in 0..batch {
-                acc += step(i);
-                i += 1;
-            }
-            best = best.min(acc.as_nanos() as f64 / batch as f64);
-        }
-        (best - overhead).max(0.0)
+    // Shared-owned; instance 0 reaches them via the §3.1 fallback.
+    let addrs: [u64; BURST] = std::array::from_fn(|k| ARENA + k as u64 * STRIDE);
+    for &a in &addrs {
+        rt.check_write(t, a, 8).unwrap(); // prime the cache
     }
 
-    // Steady state: guarded stores, no churn.
-    rt.check_write(t, addr, 8).unwrap(); // prime the cache
-    let steady_ns = min_batches(iters, overhead, |_| {
-        let t0 = Instant::now();
-        rt.check_write(t, black_box(addr), 8).unwrap();
-        t0.elapsed()
-    });
-
-    // Churn: an unrelated instance's grant revoked and re-granted
-    // between every pair of guarded stores (untimed).
+    // Churn pass: an unrelated instance's grant revoked and re-granted
+    // before every guarded store (untimed; counters only).
     rt.stats.reset();
-    let post_revoke_ns = min_batches(iters, overhead, |i| {
+    let stores = 3 * (iters / 3).max(1);
+    for i in 0..stores {
         churn_unrelated(&mut rt, &ps, i);
-        let t0 = Instant::now();
-        rt.check_write(t, black_box(addr), 8).unwrap();
-        t0.elapsed()
-    });
+        rt.check_write(t, black_box(ARENA), 8).unwrap();
+    }
     let cache_hits = rt.stats.write_cache_hits;
     let cache_misses = rt.stats.write_cache_misses;
     let epoch_bumps = rt.stats.epoch_bumps;
     let hit_rate = rt.stats.write_cache_hit_rate();
 
+    let batch = (iters / BURST as u64 / 3).max(1);
+    let per_store = |burst_ns: f64| (burst_ns - overhead).max(0.0) / BURST as f64;
+    let (mut steady, mut post) = (f64::INFINITY, f64::INFINITY);
+    for b in 0..3 {
+        let first = b * batch;
+        steady = steady.min(mean_burst_ns(batch, first, |i| {
+            churn_unrelated(&mut twin, &twin_ps, i);
+            timed_burst(&mut rt, t, &addrs)
+        }));
+        post = post.min(mean_burst_ns(batch, first, |i| {
+            churn_unrelated(&mut rt, &ps, i);
+            timed_burst(&mut rt, t, &addrs)
+        }));
+    }
+
     // Uncached probe: what every post-revoke store cost before the
     // epoch cache (instance-table miss + shared-table search).
     rt.guard_cache_enabled = false;
-    let uncached_ns = min_batches(iters, overhead, |_| {
-        let t0 = Instant::now();
-        rt.check_write(t, black_box(addr), 8).unwrap();
-        t0.elapsed()
-    });
+    let uncached = (0..3)
+        .map(|b| mean_burst_ns(batch, b * batch, |_| timed_burst(&mut rt, t, &addrs)))
+        .fold(f64::INFINITY, f64::min);
 
     RevokeHeavyLatency {
         principals,
-        steady_ns,
-        post_revoke_ns,
-        uncached_ns,
+        steady_ns: per_store(steady),
+        post_revoke_ns: per_store(post),
+        uncached_ns: per_store(uncached),
         hit_rate,
         cache_hits,
         cache_misses,

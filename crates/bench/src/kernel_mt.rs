@@ -196,6 +196,7 @@ pub fn run_kernel_mt_backend(
             let mut cpu = k.new_cpu();
             let dev = devs[t];
             let start_barrier = Arc::clone(&start_barrier);
+            let churn_ops = Arc::clone(&churn_ops);
             thread::spawn(move || {
                 // Warm the slab, the writer structures, and the private
                 // guard cache before the clock starts.
@@ -206,8 +207,17 @@ pub fn run_kernel_mt_backend(
                 let t0 = Instant::now();
                 let mut batch_means = Vec::new();
                 let mut sent = 0u64;
-                while sent < packets_per_cpu {
-                    let n = BATCH_PKTS.min(packets_per_cpu - sent);
+                // A contended run keeps sending past its packet count
+                // until the churn CPU has landed an op, so a fast TX
+                // path cannot finish before the churn is ever scheduled.
+                let churn_pending = || contended && churn_ops.load(Ordering::Relaxed) == 0;
+                while sent < packets_per_cpu || churn_pending() {
+                    let left = packets_per_cpu.saturating_sub(sent);
+                    let n = if left == 0 {
+                        BATCH_PKTS
+                    } else {
+                        BATCH_PKTS.min(left)
+                    };
                     let b0 = Instant::now();
                     for _ in 0..n {
                         cpu.enter(|k| k.net_send_packet(dev, PKT_BYTES)).unwrap();
@@ -227,13 +237,13 @@ pub fn run_kernel_mt_backend(
                     transfer_slow: cpu.rt.stats.transfer_slow,
                     note_zeroed_fast_skips: cpu.rt.stats.note_zeroed_fast_skips,
                 };
-                (median, elapsed, hits, misses, lockfree)
+                (median, elapsed, hits, misses, lockfree, sent)
             })
         })
         .collect();
 
     start_barrier.wait();
-    let results: Vec<(f64, f64, u64, u64, DataPlaneCounters)> =
+    let results: Vec<(f64, f64, u64, u64, DataPlaneCounters, u64)> =
         handles.into_iter().map(|h| h.join().unwrap()).collect();
     stop.store(true, Ordering::Relaxed);
     if let Some(c) = churner {
@@ -254,7 +264,7 @@ pub fn run_kernel_mt_backend(
         threads,
         contended,
         pkt_ns: results.iter().map(|r| r.0).sum::<f64>() / threads as f64,
-        aggregate_kpps: (threads as u64 * packets_per_cpu) as f64 / slowest / 1e3,
+        aggregate_kpps: results.iter().map(|r| r.5).sum::<u64>() as f64 / slowest / 1e3,
         hit_rate: hits as f64 / (hits + misses).max(1) as f64,
         magazine_hit_rate: mag_hits as f64 / (mag_hits + mag_misses).max(1) as f64,
         transfer_fast: results.iter().map(|r| r.4.transfer_fast).sum(),

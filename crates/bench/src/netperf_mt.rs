@@ -178,6 +178,7 @@ pub fn run_netperf_mt(threads: usize, packets_per_thread: u64, contended: bool) 
             let m = world.module;
             let p = world.workers[t];
             let start_barrier = start_barrier.clone();
+            let churn_ops = churn_ops.clone();
             thread::spawn(move || {
                 let mut h: GuardHandle = GuardHandle::new(core);
                 h.set_current(Some((m, p)));
@@ -189,8 +190,18 @@ pub fn run_netperf_mt(threads: usize, packets_per_thread: u64, contended: bool) 
                 let t0 = Instant::now();
                 let mut batch_means = Vec::new();
                 let mut i = 0u64;
-                while i < packets_per_thread {
-                    let n = BATCH_PKTS.min(packets_per_thread - i);
+                // A contended run keeps sending past its packet count
+                // until the churn thread has landed an op, so a fast
+                // guard path cannot finish before the churn is ever
+                // scheduled.
+                let churn_pending = || contended && churn_ops.load(Ordering::Relaxed) == 0;
+                while i < packets_per_thread || churn_pending() {
+                    let left = packets_per_thread.saturating_sub(i);
+                    let n = if left == 0 {
+                        BATCH_PKTS
+                    } else {
+                        BATCH_PKTS.min(left)
+                    };
                     let b0 = Instant::now();
                     for _ in 0..n {
                         tx_packet(&mut h, t, i);
@@ -202,13 +213,13 @@ pub fn run_netperf_mt(threads: usize, packets_per_thread: u64, contended: bool) 
                 batch_means.sort_by(|a, b| a.total_cmp(b));
                 let median = batch_means[batch_means.len() / 2];
                 h.flush_stats();
-                (median, elapsed)
+                (median, elapsed, i)
             })
         })
         .collect();
 
     start_barrier.wait();
-    let results: Vec<(f64, f64)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let results: Vec<(f64, f64, u64)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     stop.store(true, Ordering::Relaxed);
     if let Some(c) = churner {
         c.join().unwrap();
@@ -216,7 +227,7 @@ pub fn run_netperf_mt(threads: usize, packets_per_thread: u64, contended: bool) 
 
     let stats = world.core.global_stats();
     let slowest = results.iter().map(|r| r.1).fold(0.0f64, f64::max);
-    let total_stores = threads as u64 * packets_per_thread * 4;
+    let total_stores = results.iter().map(|r| r.2).sum::<u64>() * 4;
     MtMeasurement {
         threads,
         contended,

@@ -35,6 +35,8 @@ use std::collections::{HashMap, HashSet};
 
 use lxfi_machine::Word;
 
+use crate::fast_hash::FastSet;
+
 /// Interned REF type (e.g. `struct pci_dev`, or a synthetic type like
 /// `io_port` per Guideline 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -501,9 +503,13 @@ impl LinearWriteTable {
 pub struct CapSet {
     /// WRITE capabilities.
     pub write: WriteTable,
-    /// CALL capabilities (hashed by target address, §5).
-    pub call: HashSet<Word>,
-    /// REF capabilities (hashed by referred address, §5).
+    /// CALL capabilities (hashed by target address, §5). Targets are
+    /// kernel-assigned function addresses, so the unkeyed
+    /// [`crate::fast_hash`] hasher is safe here.
+    pub call: FastSet<Word>,
+    /// REF capabilities (hashed by referred address, §5). A module
+    /// chooses the addresses it passes, so this set stays on the keyed
+    /// default hasher.
     pub refs: HashSet<(RefTypeId, Word)>,
 }
 

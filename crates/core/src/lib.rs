@@ -35,12 +35,15 @@
 //! - the annotation-action engine executed at wrapper boundaries
 //!   ([`actions`]);
 //! - guard statistics for the Figure 13 cost breakdown ([`stats`]);
+//! - an unkeyed multiply-rotate hasher for maps keyed by kernel-assigned
+//!   ids and addresses ([`fast_hash`]);
 //! - the [`Runtime`] façade ([`runtime`]) used by the simulated kernel.
 
 pub mod actions;
 pub mod caps;
 pub mod compiled;
 pub mod epoch_cache;
+pub mod fast_hash;
 pub mod handle;
 pub mod iface;
 pub mod principal;
@@ -53,6 +56,7 @@ pub mod writer_set;
 pub use caps::{CapType, LinearWriteTable, RawCap, RefTypeId, WriteTable};
 pub use compiled::CompiledAnn;
 pub use epoch_cache::{EpochCache, Replacement, WriteGuardCache, DEFAULT_WAYS};
+pub use fast_hash::{FastMap, FastSet};
 pub use handle::GuardHandle;
 pub use iface::{FnDecl, Param, TypeLayouts};
 pub use principal::{ModuleId, PrincipalId, PrincipalKind};

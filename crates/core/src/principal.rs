@@ -47,7 +47,8 @@ pub struct ModuleInfo {
     /// All instance principals, in creation order.
     pub instances: Vec<PrincipalId>,
     /// Pointer-name → principal map (§3.3). Multiple names may alias one
-    /// principal.
+    /// principal. A module picks these names (`lxfi_princ_alias`), so the
+    /// map keeps the keyed default hasher (see [`crate::fast_hash`]).
     pub names: HashMap<Word, PrincipalId>,
     /// Set when the module's principals were retired; the id then waits
     /// on the runtime's free list until a later registration reuses it.

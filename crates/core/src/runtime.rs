@@ -71,6 +71,7 @@ use lxfi_machine::{AddressSpace, Word};
 
 use crate::caps::{CapSet, CapType, RawCap, RefTypeId};
 use crate::epoch_cache::DEFAULT_WAYS;
+use crate::fast_hash::FastMap;
 use crate::handle::{check_write_in, GuardState};
 use crate::principal::{ModuleId, ModuleInfo, PrincipalId, PrincipalKind};
 use crate::shadow::{PrincipalCtx, ShadowStack};
@@ -421,7 +422,7 @@ pub struct RuntimeCore {
     /// index only — stripe layout is a perf detail, not semantics).
     writer_map: StripedWriterMap,
     names: RwLock<Names>,
-    fns: RwLock<HashMap<Word, FnMeta>>,
+    fns: RwLock<FastMap<Word, FnMeta>>,
     /// Merged per-thread handle stats (handles flush here on drop or via
     /// `GuardHandle::flush_stats`); the single-threaded facade keeps its
     /// own `GuardStats` field instead.
@@ -457,7 +458,7 @@ impl RuntimeCore {
             writer_map: StripedWriterMap::with_boundaries(&boundaries),
             sharding: RwLock::new(Sharding::new(boundaries, 0)),
             names: RwLock::new(Names::default()),
-            fns: RwLock::new(HashMap::new()),
+            fns: RwLock::new(FastMap::default()),
             stats: Mutex::new(GuardStats::new()),
             kfree_cross_check: std::sync::atomic::AtomicBool::new(true),
         }
@@ -1576,11 +1577,16 @@ impl RuntimeCore {
 /// API over an [`Arc<RuntimeCore>`], with one guard lane (shadow stack,
 /// kernel-stack window, private epoch cache) per registered
 /// [`ThreadId`] and a plain [`GuardStats`] field benches read and reset
-/// directly. [`Runtime::share`] exposes the core for spawning
+/// directly. Gauges (live writer sets, live and retired principals) are
+/// not mirrored here: read them on demand from [`RuntimeCore`].
+/// [`Runtime::share`] exposes the core for spawning
 /// [`crate::GuardHandle`]s on real threads.
 pub struct Runtime {
     core: Arc<RuntimeCore>,
-    lanes: HashMap<ThreadId, GuardState<DEFAULT_WAYS>>,
+    /// Guard lanes, searched linearly: a `KernelCpu` registers one
+    /// thread and `spawn_thread` adds a few, so a scan of this short
+    /// vector beats hashing the id on every guarded store.
+    lanes: Vec<(ThreadId, GuardState<DEFAULT_WAYS>)>,
     /// Reusable writer buffer for the indirect-call slow path.
     scratch: Vec<PrincipalId>,
     /// Guard counters (public: benches read and reset them).
@@ -1613,6 +1619,16 @@ pub struct Runtime {
 /// Deferred zero-notes per facade before a forced drain.
 const ZERO_NOTE_BUFFER: usize = 32;
 
+/// The guard lane registered for `t`, if any (linear scan; see
+/// `Runtime::lanes`).
+#[inline]
+fn lane_of(
+    lanes: &mut [(ThreadId, GuardState<DEFAULT_WAYS>)],
+    t: ThreadId,
+) -> Option<&mut GuardState<DEFAULT_WAYS>> {
+    lanes.iter_mut().find(|(id, _)| *id == t).map(|(_, l)| l)
+}
+
 impl Default for Runtime {
     fn default() -> Self {
         Self::new()
@@ -1636,7 +1652,7 @@ impl Runtime {
     pub fn from_core(core: Arc<RuntimeCore>) -> Self {
         Runtime {
             core,
-            lanes: HashMap::new(),
+            lanes: Vec::new(),
             scratch: Vec::new(),
             stats: GuardStats::new(),
             costs: GuardCosts::default(),
@@ -1660,18 +1676,13 @@ impl Runtime {
     /// See [`RuntimeCore::set_shard_boundaries`].
     pub fn set_shard_boundaries(&mut self, boundaries: Vec<Word>) {
         self.core.set_shard_boundaries(boundaries);
-        self.update_writer_set_gauges();
     }
 
     // ------------------------------------------------------------ modules
 
     /// Registers a module, creating its shared and global principals.
     pub fn register_module(&mut self, name: &str) -> ModuleId {
-        let mid = self.core.register_module(name);
-        let (live, retired) = self.core.principal_gauges();
-        self.stats.principals_live = live;
-        self.stats.principals_retired = retired;
-        mid
+        self.core.register_module(name)
     }
 
     /// Number of registered modules.
@@ -1701,11 +1712,7 @@ impl Runtime {
 
     /// See [`RuntimeCore::principal_for_name`].
     pub fn principal_for_name(&mut self, module: ModuleId, name: Word) -> PrincipalId {
-        let p = self.core.principal_for_name(module, name);
-        let (live, retired) = self.core.principal_gauges();
-        self.stats.principals_live = live;
-        self.stats.principals_retired = retired;
-        p
+        self.core.principal_for_name(module, name)
     }
 
     /// See [`RuntimeCore::princ_alias`].
@@ -1733,9 +1740,6 @@ impl Runtime {
     /// See [`RuntimeCore::grant`].
     pub fn grant(&mut self, p: PrincipalId, cap: RawCap) {
         self.core.grant(p, cap);
-        if cap.ctype == CapType::Write {
-            self.update_writer_set_gauges();
-        }
     }
 
     /// See [`RuntimeCore::revoke`]; epoch bumps are accounted into this
@@ -1743,9 +1747,6 @@ impl Runtime {
     pub fn revoke(&mut self, p: PrincipalId, cap: RawCap) -> bool {
         let (removed, bumps) = self.core.revoke(p, cap);
         self.stats.epoch_bumps += bumps;
-        if removed && cap.ctype == CapType::Write {
-            self.update_writer_set_gauges();
-        }
         removed
     }
 
@@ -1754,40 +1755,22 @@ impl Runtime {
         self.core.write_epoch(p)
     }
 
-    /// Refreshes the writer-set GC gauges in [`GuardStats`] from the
-    /// reverse index's interners (called after every index mutation),
-    /// and the principal-population gauges from the registry.
-    fn update_writer_set_gauges(&mut self) {
-        self.stats.writer_sets_live = self.core.index_set_count() as u64;
-        self.stats.writer_sets_ever = self.core.index_sets_ever_interned();
-        let (live, retired) = self.core.principal_gauges();
-        self.stats.principals_live = live;
-        self.stats.principals_retired = retired;
-    }
-
     /// See [`RuntimeCore::retire_module`]; epoch bumps are accounted into
-    /// this facade's [`GuardStats`] and the gauges refreshed.
+    /// this facade's [`GuardStats`].
     pub fn retire_module(&mut self, mid: ModuleId) -> RetireSweep {
         let sweep = self.core.retire_module(mid);
         self.stats.epoch_bumps += sweep.epoch_bumps;
-        self.update_writer_set_gauges();
         sweep
     }
 
     /// See [`RuntimeCore::ensure_tombstone`].
     pub fn ensure_tombstone(&mut self) -> PrincipalId {
-        let t = self.core.ensure_tombstone();
-        self.update_writer_set_gauges();
-        t
+        self.core.ensure_tombstone()
     }
 
     /// See [`RuntimeCore::revoke_everywhere`].
     pub fn revoke_everywhere(&mut self, cap: RawCap) {
-        let bumps = self.core.revoke_everywhere(cap);
-        self.stats.epoch_bumps += bumps;
-        if bumps > 0 {
-            self.update_writer_set_gauges();
-        }
+        self.stats.epoch_bumps += self.core.revoke_everywhere(cap);
     }
 
     /// Moves `cap` from whoever holds it to `dst` (annotation `transfer`
@@ -1809,7 +1792,6 @@ impl Runtime {
             } else {
                 self.stats.transfer_slow += 1;
             }
-            self.update_writer_set_gauges();
         } else {
             self.stats.transfer_slow += 1;
             let bumps = self.core.revoke_everywhere(cap);
@@ -1829,9 +1811,6 @@ impl Runtime {
         self.stats.epoch_bumps += sweep.epoch_bumps;
         self.stats.kfree_hint_visited += sweep.visited;
         self.stats.kfree_hint_skipped += sweep.skipped;
-        if sweep.epoch_bumps > 0 {
-            self.update_writer_set_gauges();
-        }
         #[cfg(debug_assertions)]
         if size > 0 && self.core.kfree_cross_check_enabled() {
             for i in 0..self.core.principal_count() {
@@ -1846,11 +1825,7 @@ impl Runtime {
 
     /// See [`RuntimeCore::revoke_write_overlapping`].
     pub fn revoke_write_overlapping(&mut self, p: PrincipalId, addr: Word, size: u64) {
-        let bumps = self.core.revoke_write_overlapping(p, addr, size);
-        self.stats.epoch_bumps += bumps;
-        if bumps > 0 {
-            self.update_writer_set_gauges();
-        }
+        self.stats.epoch_bumps += self.core.revoke_write_overlapping(p, addr, size);
     }
 
     /// Ownership test (§3.1 hierarchy semantics).
@@ -1877,7 +1852,10 @@ impl Runtime {
     pub fn register_thread(&mut self, t: ThreadId, stack_base: Word, stack_len: u64) {
         let mut lane = GuardState::new();
         lane.kstack = Some((stack_base, stack_len));
-        self.lanes.insert(t, lane);
+        match lane_of(&mut self.lanes, t) {
+            Some(l) => *l = lane,
+            None => self.lanes.push((t, lane)),
+        }
     }
 
     /// The thread's shadow stack.
@@ -1886,12 +1864,17 @@ impl Runtime {
     ///
     /// Panics if the thread was never registered.
     pub fn thread(&mut self, t: ThreadId) -> &mut ShadowStack {
-        &mut self.lanes.get_mut(&t).expect("thread registered").shadow
+        &mut lane_of(&mut self.lanes, t)
+            .expect("thread registered")
+            .shadow
     }
 
     /// The current principal context of a thread.
     pub fn current(&self, t: ThreadId) -> PrincipalCtx {
-        self.lanes.get(&t).and_then(|l| l.shadow.current())
+        self.lanes
+            .iter()
+            .find(|(id, _)| *id == t)
+            .and_then(|(_, l)| l.shadow.current())
     }
 
     /// Wrapper entry: records the FunctionEntry guard, saves context on
@@ -1926,7 +1909,7 @@ impl Runtime {
     /// core's atomic counter, a revocation affecting *other* principals
     /// does not evict it.
     pub fn check_write(&mut self, t: ThreadId, addr: Word, len: u64) -> Result<(), Violation> {
-        let Some(lane) = self.lanes.get_mut(&t) else {
+        let Some(lane) = lane_of(&mut self.lanes, t) else {
             // Unregistered thread: kernel context, trusted (and charged).
             self.stats.record(GuardKind::MemWrite, self.costs.mem_write);
             return Ok(());
@@ -2312,7 +2295,6 @@ mod tests {
         let (live, retired) = rt.core().principal_gauges();
         assert_eq!(retired, 3);
         assert_eq!(live as usize, rt.core().principal_count() - 3);
-        assert_eq!(rt.stats.principals_retired, 3);
 
         // Retiring again is a no-op (idempotent quarantine).
         let again = rt.retire_module(m);

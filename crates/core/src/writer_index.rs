@@ -39,6 +39,16 @@
 //! default-constructed index has a single shard covering the whole
 //! address space (the pre-sharding behavior).
 //!
+//! The shapes the per-packet skb grant, transfer and `kfree` produce are
+//! **spliced in place**, with no heap allocation: a grant into a gap
+//! (inserted, or absorbed by a touching neighbour whose set is exactly
+//! `{p}`, or joining two such neighbours) and the removal or edge trim
+//! of a single `{p}` interval. These touch only the overlap window and
+//! its two touching neighbours and move only `p`'s presence count; the
+//! singleton `{p}` is looked up through a borrowed slice. Every other
+//! shape builds a general plan. Both go through the same two phases and
+//! lock order.
+//!
 //! Intervals never span a shard boundary: a grant crossing one is split
 //! at the boundary, so two touching same-set intervals can exist across
 //! a boundary (they coalesce freely *within* a shard).
@@ -96,6 +106,7 @@ use std::sync::Mutex as StdMutex;
 use lxfi_machine::Word;
 
 use crate::caps::WriteTable;
+use crate::fast_hash::FastMap;
 use crate::principal::PrincipalId;
 
 /// The output of a splice's id/refcount phase: the coalesced replacement
@@ -107,6 +118,35 @@ struct SplicePlan {
     merged: Vec<(Word, Word, WriterSetId)>,
     inc: Vec<PrincipalId>,
     dec: Vec<PrincipalId>,
+}
+
+/// A splice whose id/refcount phase is done, ready to apply under the
+/// shard lock alone. The in-place shapes touch only the overlap window
+/// and its two touching neighbours, and change presence counts of the
+/// one principal `p` they were planned for; they allocate nothing.
+/// Every other shape goes through a general [`SplicePlan`].
+enum Splice {
+    /// Gap insert of a fresh `{p}` interval at index `at` (set acquired).
+    Insert {
+        at: usize,
+        start: Word,
+        end: Word,
+        sid: WriterSetId,
+        p: PrincipalId,
+    },
+    /// Moves interval `j`'s start: a touching right neighbour with the
+    /// set `{p}` extended left, or a `{p}` interval trimmed at its left
+    /// edge.
+    SetStart { j: usize, start: Word },
+    /// Moves interval `j`'s end: the mirror image of `SetStart`.
+    SetEnd { j: usize, end: Word },
+    /// A gap insert that joins two touching `{p}` neighbours: interval
+    /// `j` absorbs `j + 1` (whose set reference was released).
+    MergeNext { j: usize, p: PrincipalId },
+    /// Removal of the whole `{p}` interval `j` (set released).
+    Remove { j: usize, p: PrincipalId },
+    /// Any other shape.
+    Planned(SplicePlan),
 }
 
 /// Interned id of a sorted, deduplicated set of writer principals.
@@ -127,7 +167,7 @@ pub(crate) struct SetInterner {
     sets: Vec<Vec<PrincipalId>>,
     /// Number of interval entries (across all shards) holding each id.
     refs: Vec<u32>,
-    ids: HashMap<Vec<PrincipalId>, WriterSetId>,
+    ids: FastMap<Vec<PrincipalId>, WriterSetId>,
     /// Recycled slots (freed sets) available for reuse.
     free: Vec<u32>,
     /// Monotonic count of slot allocations (including reuses).
@@ -139,11 +179,11 @@ impl SetInterner {
         let mut it = SetInterner {
             sets: Vec::new(),
             refs: Vec::new(),
-            ids: HashMap::new(),
+            ids: FastMap::default(),
             free: Vec::new(),
             ever: 0,
         };
-        it.intern(Vec::new()); // id 0 = the empty set
+        it.intern(&[]); // id 0 = the empty set
         it
     }
 
@@ -152,22 +192,22 @@ impl SetInterner {
     /// interval entry takes the id (splice does this).
     ///
     /// [`acquire`]: SetInterner::acquire
-    fn intern(&mut self, set: Vec<PrincipalId>) -> WriterSetId {
+    fn intern(&mut self, set: &[PrincipalId]) -> WriterSetId {
         debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "sorted + dedup'd");
-        if let Some(&id) = self.ids.get(&set) {
+        if let Some(&id) = self.ids.get(set) {
             return id;
         }
         self.ever += 1;
         let id = if let Some(slot) = self.free.pop() {
             debug_assert_eq!(self.refs[slot as usize], 0, "recycled slot is dead");
-            self.sets[slot as usize] = set.clone();
+            self.sets[slot as usize] = set.to_vec();
             WriterSetId(slot)
         } else {
-            self.sets.push(set.clone());
+            self.sets.push(set.to_vec());
             self.refs.push(0);
             WriterSetId((self.sets.len() - 1) as u32)
         };
-        self.ids.insert(set, id);
+        self.ids.insert(set.to_vec(), id);
         id
     }
 
@@ -204,7 +244,7 @@ impl SetInterner {
             Err(pos) => {
                 let mut v = cur.to_vec();
                 v.insert(pos, p);
-                self.intern(v)
+                self.intern(&v)
             }
         }
     }
@@ -220,13 +260,24 @@ impl SetInterner {
                 }
                 let mut v = cur.to_vec();
                 v.remove(pos);
-                self.intern(v)
+                self.intern(&v)
             }
         }
     }
 
+    /// The id of `{p}` if it is interned (a borrowed-slice lookup: no
+    /// allocation).
+    fn find_singleton(&self, p: PrincipalId) -> Option<WriterSetId> {
+        self.ids.get(std::slice::from_ref(&p)).copied()
+    }
+
     fn singleton(&mut self, p: PrincipalId) -> WriterSetId {
-        self.intern(vec![p])
+        self.intern(std::slice::from_ref(&p))
+    }
+
+    /// True if `sid` is exactly `{p}`.
+    fn is_singleton(&self, sid: WriterSetId, p: PrincipalId) -> bool {
+        self.get(sid) == [p]
     }
 
     /// Live distinct sets (including the pinned empty set).
@@ -340,20 +391,20 @@ impl IndexShard {
         (lo, hi.max(lo))
     }
 
-    /// Completes the id/refcount phase of a splice: coalesces `repl`,
-    /// acquires the new segments' sets, releases the replaced entries'
-    /// sets (new acquired before old release, so a set that survives the
-    /// splice is never transiently freed), and records the presence-map
-    /// deltas. Everything that needs the interner happens here; the
-    /// returned plan is applied by [`IndexShard::apply_splice`] with no
-    /// interner access at all.
+    /// Completes the id/refcount phase of a general splice: coalesces
+    /// `repl`, acquires the new segments' sets, releases the replaced
+    /// entries' sets (new acquired before old release, so a set that
+    /// survives the splice is never transiently freed), and records the
+    /// presence-map deltas. Everything that needs the interner happens
+    /// here; the returned plan is applied by [`IndexShard::apply`] with
+    /// no interner access at all.
     fn plan_splice(
         &self,
         interner: &mut SetInterner,
         lo: usize,
         hi: usize,
         repl: Vec<(Word, Word, WriterSetId)>,
-    ) -> SplicePlan {
+    ) -> Splice {
         let mut merged: Vec<(Word, Word, WriterSetId)> = Vec::with_capacity(repl.len());
         for seg in repl {
             debug_assert!(seg.0 < seg.1, "non-empty segment");
@@ -377,57 +428,128 @@ impl IndexShard {
             dec.extend_from_slice(interner.get(self.sets[j]));
             interner.release(self.sets[j]);
         }
-        SplicePlan {
+        Splice::Planned(SplicePlan {
             lo,
             hi,
             merged,
             inc,
             dec,
+        })
+    }
+
+    /// Applies a splice whose id/refcount phase is done: presence-map
+    /// deltas plus the interval edit. Pure shard-local state — runs
+    /// under the shard lock alone, never the interner's.
+    fn apply(&mut self, splice: Splice) {
+        match splice {
+            Splice::Insert {
+                at,
+                start,
+                end,
+                sid,
+                p,
+            } => {
+                self.present_inc(p);
+                self.starts.insert(at, start);
+                self.ends.insert(at, end);
+                self.sets.insert(at, sid);
+            }
+            Splice::SetStart { j, start } => self.starts[j] = start,
+            Splice::SetEnd { j, end } => self.ends[j] = end,
+            Splice::MergeNext { j, p } => {
+                self.present_dec(p);
+                self.ends[j] = self.ends[j + 1];
+                self.starts.remove(j + 1);
+                self.ends.remove(j + 1);
+                self.sets.remove(j + 1);
+            }
+            Splice::Remove { j, p } => {
+                self.present_dec(p);
+                self.starts.remove(j);
+                self.ends.remove(j);
+                self.sets.remove(j);
+            }
+            Splice::Planned(plan) => {
+                for &w in &plan.inc {
+                    self.present_inc(w);
+                }
+                for &w in &plan.dec {
+                    self.present_dec(w);
+                }
+                self.starts
+                    .splice(plan.lo..plan.hi, plan.merged.iter().map(|s| s.0));
+                self.ends
+                    .splice(plan.lo..plan.hi, plan.merged.iter().map(|s| s.1));
+                self.sets
+                    .splice(plan.lo..plan.hi, plan.merged.iter().map(|s| s.2));
+            }
         }
     }
 
-    /// Applies a planned splice: presence-map deltas plus the interval
-    /// memmove. Pure shard-local state — runs under the shard lock alone,
-    /// never the interner's.
-    fn apply_splice(&mut self, plan: SplicePlan) {
-        for &w in &plan.inc {
-            self.present_inc(w);
+    /// The id phase of unioning `p` into `[addr, e)` (pre-clipped):
+    /// reads shard state and interns/acquires sets but mutates no
+    /// intervals. A grant into a gap is planned in place; every other
+    /// shape takes the general plan.
+    fn plan_add(&self, interner: &mut SetInterner, p: PrincipalId, addr: Word, e: Word) -> Splice {
+        let (wlo, whi) = self.window(addr, e);
+        if wlo == whi {
+            return self.plan_gap_insert(interner, p, addr, e, wlo);
         }
-        for &w in &plan.dec {
-            self.present_dec(w);
-        }
-        self.starts
-            .splice(plan.lo..plan.hi, plan.merged.iter().map(|s| s.0));
-        self.ends
-            .splice(plan.lo..plan.hi, plan.merged.iter().map(|s| s.1));
-        self.sets
-            .splice(plan.lo..plan.hi, plan.merged.iter().map(|s| s.2));
+        let (lo, hi, repl) = self.add_replacement(interner, p, addr, e, wlo, whi);
+        self.plan_splice(interner, lo, hi, repl)
     }
 
-    /// Replaces entries `lo..hi` with `repl` (single-threaded owner path:
-    /// both phases back to back).
-    fn splice(
-        &mut self,
-        interner: &mut SetInterner,
-        lo: usize,
-        hi: usize,
-        repl: Vec<(Word, Word, WriterSetId)>,
-    ) {
-        let plan = self.plan_splice(interner, lo, hi, repl);
-        self.apply_splice(plan);
-    }
-
-    /// Builds the replacement list for unioning `p` into `[addr, e)`
-    /// (pre-clipped): the id phase of [`IndexShard::add`], reading shard
-    /// state and interning the new sets but mutating no intervals.
-    fn plan_add(
+    /// Plans a grant of `[addr, e)` to `p` where no interval overlaps
+    /// it; `at` is where a new interval would go. A touching neighbour
+    /// whose set is exactly `{p}` is extended instead (both, when the
+    /// grant closes the gap between two such neighbours).
+    fn plan_gap_insert(
         &self,
         interner: &mut SetInterner,
         p: PrincipalId,
         addr: Word,
         e: Word,
+        at: usize,
+    ) -> Splice {
+        let single = interner.find_singleton(p);
+        let joins = |j: usize| single == Some(self.sets[j]);
+        let left = at > 0 && self.ends[at - 1] == addr && joins(at - 1);
+        let right = at < self.starts.len() && self.starts[at] == e && joins(at);
+        match (left, right) {
+            (true, true) => {
+                // The right neighbour's entry goes; the left one keeps
+                // the set referenced, so this never frees it.
+                interner.release(self.sets[at]);
+                Splice::MergeNext { j: at - 1, p }
+            }
+            (true, false) => Splice::SetEnd { j: at - 1, end: e },
+            (false, true) => Splice::SetStart { j: at, start: addr },
+            (false, false) => {
+                let sid = single.unwrap_or_else(|| interner.singleton(p));
+                interner.acquire(sid);
+                Splice::Insert {
+                    at,
+                    start: addr,
+                    end: e,
+                    sid,
+                    p,
+                }
+            }
+        }
+    }
+
+    /// Builds the general replacement list for unioning `p` into
+    /// `[addr, e)` over the overlap window `wlo..whi`, pulling touching
+    /// neighbours in so coalescible boundaries merge.
+    fn add_replacement(
+        &self,
+        interner: &mut SetInterner,
+        p: PrincipalId,
+        addr: Word,
+        e: Word,
+        wlo: usize,
+        whi: usize,
     ) -> (usize, usize, Vec<(Word, Word, WriterSetId)>) {
-        let (wlo, whi) = self.window(addr, e);
         let mut lo = wlo;
         let mut hi = whi;
         let mut out = Vec::new();
@@ -470,14 +592,15 @@ impl IndexShard {
     /// Unions `p` into `[addr, e)` within this shard (the caller has
     /// already clipped the range to the shard's bounds). Idempotent.
     pub(crate) fn add(&mut self, interner: &mut SetInterner, p: PrincipalId, addr: Word, e: Word) {
-        let (lo, hi, out) = self.plan_add(interner, p, addr, e);
-        self.splice(interner, lo, hi, out);
+        let splice = self.plan_add(interner, p, addr, e);
+        self.apply(splice);
     }
 
     /// Concurrent-path `add`: the shard lock is held by the caller for
     /// the whole call; the shared interner mutex is taken only for the
-    /// id/refcount phase, and the memmove runs under the shard lock
-    /// alone. Lock order is shard → interner (the interner is a leaf).
+    /// id/refcount phase, and the interval edit runs under the shard
+    /// lock alone. Lock order is shard → interner (the interner is a
+    /// leaf).
     pub(crate) fn add_split(
         &mut self,
         interner: &StdMutex<SetInterner>,
@@ -485,24 +608,55 @@ impl IndexShard {
         addr: Word,
         e: Word,
     ) {
-        let plan = {
+        let splice = {
             let mut it = interner.lock().expect("interner lock");
-            let (lo, hi, out) = self.plan_add(&mut it, p, addr, e);
-            self.plan_splice(&mut it, lo, hi, out)
+            self.plan_add(&mut it, p, addr, e)
         };
-        self.apply_splice(plan);
+        self.apply(splice);
     }
 
-    /// Builds the replacement list for removing `p` from `[addr, e)`
-    /// (pre-clipped): the id phase of [`IndexShard::remove`].
+    /// The id phase of removing `p` from `[addr, e)` (pre-clipped). A
+    /// revoke whose window is a single `{p}` interval removes it whole
+    /// or trims it at the edge the range covers, in place. A split in
+    /// the middle, a shared set, or any other window takes the general
+    /// plan.
     fn plan_remove(
         &self,
         interner: &mut SetInterner,
         p: PrincipalId,
         addr: Word,
         e: Word,
-    ) -> (usize, usize, Vec<(Word, Word, WriterSetId)>) {
+    ) -> Splice {
         let (wlo, whi) = self.window(addr, e);
+        if whi == wlo + 1 && interner.is_singleton(self.sets[wlo], p) {
+            let j = wlo;
+            // Dropping or trimming a `{p}` interval opens a gap beside
+            // it, so no neighbour can need coalescing afterwards.
+            match (addr <= self.starts[j], self.ends[j] <= e) {
+                (true, true) => {
+                    interner.release(self.sets[j]);
+                    return Splice::Remove { j, p };
+                }
+                (true, false) => return Splice::SetStart { j, start: e },
+                (false, true) => return Splice::SetEnd { j, end: addr },
+                (false, false) => {}
+            }
+        }
+        let (lo, hi, repl) = self.remove_replacement(interner, p, addr, e, wlo, whi);
+        self.plan_splice(interner, lo, hi, repl)
+    }
+
+    /// Builds the general replacement list for removing `p` from
+    /// `[addr, e)` over the overlap window `wlo..whi`.
+    fn remove_replacement(
+        &self,
+        interner: &mut SetInterner,
+        p: PrincipalId,
+        addr: Word,
+        e: Word,
+        wlo: usize,
+        whi: usize,
+    ) -> (usize, usize, Vec<(Word, Word, WriterSetId)>) {
         let mut lo = wlo;
         let mut hi = whi;
         let mut out = Vec::new();
@@ -542,8 +696,8 @@ impl IndexShard {
         addr: Word,
         e: Word,
     ) {
-        let (lo, hi, out) = self.plan_remove(interner, p, addr, e);
-        self.splice(interner, lo, hi, out);
+        let splice = self.plan_remove(interner, p, addr, e);
+        self.apply(splice);
     }
 
     /// Concurrent-path `remove`: same locking discipline as
@@ -555,14 +709,12 @@ impl IndexShard {
         addr: Word,
         e: Word,
     ) {
-        let plan = {
+        let splice = {
             let mut it = interner.lock().expect("interner lock");
-            let (lo, hi, out) = self.plan_remove(&mut it, p, addr, e);
-            self.plan_splice(&mut it, lo, hi, out)
+            self.plan_remove(&mut it, p, addr, e)
         };
-        self.apply_splice(plan);
+        self.apply(splice);
     }
-
     /// True if any writer interval overlaps `[a, e)` (pre-clipped).
     pub(crate) fn overlaps(&self, a: Word, e: Word) -> bool {
         let (lo, hi) = self.window(a, e);

@@ -73,6 +73,7 @@ use lxfi_core::actions::{apply_actions, CallSite, Dir};
 use lxfi_core::iface::{FnDecl, Param, TypeLayouts};
 use lxfi_core::runtime::FnMeta;
 use lxfi_core::shadow::PrincipalCtx;
+use lxfi_core::FastMap;
 use lxfi_core::{PrincipalId, RawCap, Runtime, RuntimeCore, ThreadId, Violation};
 use lxfi_machine::program::ImportKind;
 use lxfi_machine::{
@@ -144,7 +145,7 @@ pub(crate) struct LoadedModule {
     compiled: Option<Arc<CompiledProgram>>,
     global_addrs: Vec<Word>,
     fn_base: Word,
-    decls: HashMap<FuncId, Arc<FnDecl>>,
+    decls: FastMap<FuncId, Arc<FnDecl>>,
     import_addrs: Vec<Word>,
     /// Annotation hash per program `SigId`, resolved against the sig
     /// registry whenever it changes — so the indirect-call guard indexes
@@ -280,7 +281,7 @@ struct ExportTable {
 struct ModuleTable {
     modules: Vec<Arc<LoadedModule>>,
     by_name: HashMap<String, usize>,
-    fn_addrs: HashMap<Word, (usize, FuncId)>,
+    fn_addrs: FastMap<Word, (usize, FuncId)>,
     /// Slots of torn-down modules, reusable by the next load (lowest
     /// first). The dead `Arc` stays in `modules` until then so indices
     /// remain stable; the window is scrubbed at reuse, not teardown —
@@ -324,8 +325,9 @@ pub struct KernelCore {
     /// Set once by `load_kernel_thunks`: the thunk pseudo-module and its
     /// name → function-id map, so per-packet thunk dispatch costs one
     /// `Arc` clone and one hash lookup instead of a registry read lock
-    /// plus a linear name scan.
-    thunks: std::sync::OnceLock<(Arc<LoadedModule>, HashMap<String, FuncId>)>,
+    /// plus a linear name scan. The names are the kernel's own, so the
+    /// map uses the unkeyed fast hasher.
+    thunks: std::sync::OnceLock<(Arc<LoadedModule>, FastMap<String, FuncId>)>,
     /// Serializes whole module load/unload transactions (loads are rare;
     /// dispatch only takes the registries' read locks).
     load_lock: Mutex<()>,
@@ -1598,7 +1600,7 @@ impl KernelCpu {
             IsolationMode::Stock => (spec.program.clone(), HashMap::new(), Vec::new()),
         };
         // Compile the module declarations' enforcement IR once, at load.
-        let decls: HashMap<FuncId, Arc<FnDecl>> = decls
+        let decls: FastMap<FuncId, Arc<FnDecl>> = decls
             .into_iter()
             .map(|(fid, mut d)| {
                 d.compile(&mut self.rt, &self.core.layouts);
@@ -1928,7 +1930,7 @@ impl KernelCpu {
                 compiled,
                 global_addrs: Vec::new(),
                 fn_base,
-                decls: HashMap::new(),
+                decls: FastMap::default(),
                 import_addrs,
                 sig_ahash: RwLock::new(sig_ahash),
                 active: std::sync::atomic::AtomicUsize::new(0),
@@ -1939,7 +1941,7 @@ impl KernelCpu {
             // module handle and its name → id map so run_kernel_thunk
             // never takes the registry lock or scans names again.
             let m = tab.modules[midx].clone();
-            let by_name: HashMap<String, FuncId> = m
+            let by_name: FastMap<String, FuncId> = m
                 .program
                 .funcs
                 .iter()
