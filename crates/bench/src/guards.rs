@@ -5,10 +5,11 @@
 //! + guard-cache refactor against the paper's masked-slot linear scan.
 
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lxfi_core::{
-    GuardKind, LinearWriteTable, RawCap, Runtime, ThreadId, WriteTable, ALL_GUARD_KINDS,
+    GuardHandle, GuardKind, LinearWriteTable, RawCap, RuntimeCore, WriteTable, ALL_GUARD_KINDS,
 };
 use lxfi_kernel::IsolationMode;
 
@@ -161,20 +162,19 @@ pub fn bench_tables(grants: usize) -> (LinearWriteTable, WriteTable) {
     (linear, interval)
 }
 
-/// A runtime whose current principal holds the benchmark arena's
+/// A guard handle whose current principal holds the benchmark arena's
 /// grants, ready for `check_write` timing.
-pub fn bench_guard_runtime(grants: usize) -> (Runtime, ThreadId) {
+pub fn bench_guard_runtime(grants: usize) -> GuardHandle {
     assert!(grants > 0, "benchmark arena needs at least one grant");
-    let mut rt = Runtime::new();
+    let mut rt: GuardHandle = GuardHandle::new(Arc::new(RuntimeCore::new()));
     let m = rt.register_module("bench");
-    let t = ThreadId(0);
-    rt.register_thread(t, 0xffff_9000_0000_0000, 0x2000);
+    rt.set_kernel_stack(0xffff_9000_0000_0000, 0x2000);
     let p = rt.principal_for_name(m, 0x9000);
     for i in 0..grants as u64 {
         rt.grant(p, RawCap::write(ARENA + i * STRIDE, 8));
     }
-    rt.thread(t).set_current(Some((m, p)));
-    (rt, t)
+    rt.set_current(Some((m, p)));
+    rt
 }
 
 /// Measured hit/miss latency of one WRITE-table structure.
@@ -250,7 +250,7 @@ pub fn write_table_comparison(grants: usize, iters: u64) -> Vec<WriteTableLatenc
     rows
 }
 
-/// Measured latency of the full write guard ([`Runtime::check_write`])
+/// Measured latency of the full write guard ([`GuardHandle::check_write`])
 /// over the same arena, isolating what the one-entry last-grant-hit
 /// cache buys.
 #[derive(Debug, Clone)]
@@ -268,11 +268,11 @@ pub struct GuardCacheLatency {
 /// Times `check_write` with the guard cache hot (repeated probes into
 /// one grant) and cold (probes rotating across `grants` grants).
 pub fn guard_cache_comparison(grants: usize, iters: u64) -> GuardCacheLatency {
-    let (mut rt, t) = bench_guard_runtime(grants);
+    let mut rt = bench_guard_runtime(grants);
 
     rt.stats.reset();
     let repeated_ns = time_ns(iters, || {
-        rt.check_write(t, black_box(ARENA), 8).unwrap();
+        rt.check_write(black_box(ARENA), 8).unwrap();
     });
     let hit_rate =
         rt.stats.write_cache_hits as f64 / rt.stats.count(GuardKind::MemWrite).max(1) as f64;
@@ -281,7 +281,7 @@ pub fn guard_cache_comparison(grants: usize, iters: u64) -> GuardCacheLatency {
     let rotating_ns = time_ns(iters, || {
         let a = rotating_hit_probe(i, grants);
         i += 1;
-        rt.check_write(t, black_box(a), 8).unwrap();
+        rt.check_write(black_box(a), 8).unwrap();
     });
     GuardCacheLatency {
         repeated_ns,
@@ -365,10 +365,10 @@ fn timer_overhead_ns() -> f64 {
 pub const BURST: usize = 4;
 
 /// Times one burst of cached guarded stores, one per address.
-fn timed_burst(rt: &mut Runtime, t: ThreadId, addrs: &[u64; BURST]) -> Duration {
+fn timed_burst(rt: &mut GuardHandle, addrs: &[u64; BURST]) -> Duration {
     let t0 = Instant::now();
     for &a in addrs {
-        rt.check_write(t, black_box(a), 8).unwrap();
+        rt.check_write(black_box(a), 8).unwrap();
     }
     t0.elapsed()
 }
@@ -388,12 +388,11 @@ fn mean_burst_ns(bursts: u64, first: u64, mut step: impl FnMut(u64) -> Duration)
 /// on the shared principal. Instance 0 is the measured writer; its
 /// stores land in shared-owned memory (instance table misses, shared
 /// table covers — the §3.1 fallback).
-pub fn revoke_heavy_runtime(principals: usize) -> (Runtime, ThreadId, Vec<lxfi_core::PrincipalId>) {
+pub fn revoke_heavy_runtime(principals: usize) -> (GuardHandle, Vec<lxfi_core::PrincipalId>) {
     assert!(principals >= 2, "churn needs an unrelated principal");
-    let mut rt = Runtime::new();
+    let mut rt: GuardHandle = GuardHandle::new(Arc::new(RuntimeCore::new()));
     let m = rt.register_module("bench");
-    let t = ThreadId(0);
-    rt.register_thread(t, 0xffff_9000_0000_0000, 0x2000);
+    rt.set_kernel_stack(0xffff_9000_0000_0000, 0x2000);
     let shared = rt.shared_principal(m);
     for i in 0..SHARED_GRANTS as u64 {
         rt.grant(shared, RawCap::write(ARENA + i * STRIDE, 8));
@@ -407,15 +406,15 @@ pub fn revoke_heavy_runtime(principals: usize) -> (Runtime, ThreadId, Vec<lxfi_c
             RawCap::write(CHURN_ARENA + i as u64 * CHURN_STRIDE, 0x100),
         );
     }
-    rt.thread(t).set_current(Some((m, ps[0])));
-    (rt, t, ps)
+    rt.set_current(Some((m, ps[0])));
+    (rt, ps)
 }
 
 /// The unrelated-churn step of the revoke-heavy workload: the `i`-th
 /// rotated victim instance (never instance 0, the measured writer) has
 /// its private arena grant revoked and re-granted. Shared by the table
 /// harness and the criterion bench so both measure the same churn.
-pub fn churn_unrelated(rt: &mut Runtime, ps: &[lxfi_core::PrincipalId], i: u64) {
+pub fn churn_unrelated(rt: &mut GuardHandle, ps: &[lxfi_core::PrincipalId], i: u64) {
     let victim = 1 + (i as usize % (ps.len() - 1));
     let cap = RawCap::write(CHURN_ARENA + victim as u64 * CHURN_STRIDE, 0x100);
     rt.revoke(ps[victim], cap);
@@ -433,13 +432,13 @@ pub fn churn_unrelated(rt: &mut Runtime, ps: &[lxfi_core::PrincipalId], i: u64) 
 /// ratio of the two isolates what an unrelated revocation does to the
 /// writer's cache. Each arm reports the minimum over three batches.
 pub fn revoke_heavy_comparison(principals: usize, iters: u64) -> RevokeHeavyLatency {
-    let (mut rt, t, ps) = revoke_heavy_runtime(principals);
-    let (mut twin, _, twin_ps) = revoke_heavy_runtime(principals);
+    let (mut rt, ps) = revoke_heavy_runtime(principals);
+    let (mut twin, twin_ps) = revoke_heavy_runtime(principals);
     let overhead = timer_overhead_ns();
     // Shared-owned; instance 0 reaches them via the §3.1 fallback.
     let addrs: [u64; BURST] = std::array::from_fn(|k| ARENA + k as u64 * STRIDE);
     for &a in &addrs {
-        rt.check_write(t, a, 8).unwrap(); // prime the cache
+        rt.check_write(a, 8).unwrap(); // prime the cache
     }
 
     // Churn pass: an unrelated instance's grant revoked and re-granted
@@ -448,7 +447,7 @@ pub fn revoke_heavy_comparison(principals: usize, iters: u64) -> RevokeHeavyLate
     let stores = 3 * (iters / 3).max(1);
     for i in 0..stores {
         churn_unrelated(&mut rt, &ps, i);
-        rt.check_write(t, black_box(ARENA), 8).unwrap();
+        rt.check_write(black_box(ARENA), 8).unwrap();
     }
     let cache_hits = rt.stats.write_cache_hits;
     let cache_misses = rt.stats.write_cache_misses;
@@ -462,11 +461,11 @@ pub fn revoke_heavy_comparison(principals: usize, iters: u64) -> RevokeHeavyLate
         let first = b * batch;
         steady = steady.min(mean_burst_ns(batch, first, |i| {
             churn_unrelated(&mut twin, &twin_ps, i);
-            timed_burst(&mut rt, t, &addrs)
+            timed_burst(&mut rt, &addrs)
         }));
         post = post.min(mean_burst_ns(batch, first, |i| {
             churn_unrelated(&mut rt, &ps, i);
-            timed_burst(&mut rt, t, &addrs)
+            timed_burst(&mut rt, &addrs)
         }));
     }
 
@@ -474,7 +473,7 @@ pub fn revoke_heavy_comparison(principals: usize, iters: u64) -> RevokeHeavyLate
     // epoch cache (instance-table miss + shared-table search).
     rt.guard_cache_enabled = false;
     let uncached = (0..3)
-        .map(|b| mean_burst_ns(batch, b * batch, |_| timed_burst(&mut rt, t, &addrs)))
+        .map(|b| mean_burst_ns(batch, b * batch, |_| timed_burst(&mut rt, &addrs)))
         .fold(f64::INFINITY, f64::min);
 
     RevokeHeavyLatency {

@@ -3,7 +3,7 @@
 //!
 //! `netperf_mt` proved the guard layer scales by driving bare
 //! `GuardHandle`s; this workload proves the whole *kernel* does. Each
-//! worker OS thread owns a [`KernelCpu`] over one shared `KernelCore`
+//! worker OS thread owns a [`lxfi_kernel::KernelCpu`] over one shared `KernelCore`
 //! and pushes packets down the full LXFI TX path: `net_send_packet` →
 //! slab skb allocation → the rewritten `dev_queue_xmit` kernel thunk
 //! (interpreted, `GuardIndCall` on the module-written ops slot) → the

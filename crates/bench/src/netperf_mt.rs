@@ -31,7 +31,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Instant;
 
-use lxfi_core::{GuardHandle, ModuleId, PrincipalId, RawCap, Runtime, RuntimeCore};
+use lxfi_core::{GuardHandle, ModuleId, PrincipalId, RawCap, RuntimeCore};
 
 /// Base address of the per-worker TX arenas.
 pub const MT_ARENA_BASE: u64 = 0x5000_0000;
@@ -67,22 +67,22 @@ pub fn build_world(threads: usize) -> MtWorld {
     let boundaries: Vec<u64> = (0..=threads as u64)
         .map(|t| MT_ARENA_BASE + t * MT_ARENA_STRIDE)
         .collect();
-    let mut rt = Runtime::with_shard_boundaries(boundaries);
-    let m = rt.register_module("e1000-mt");
+    let core = Arc::new(RuntimeCore::with_shard_boundaries(boundaries));
+    let m = core.register_module("e1000-mt");
     let workers: Vec<PrincipalId> = (0..threads)
         .map(|t| {
-            let p = rt.principal_for_name(m, 0x9000 + t as u64 * 8);
+            let p = core.principal_for_name(m, 0x9000 + t as u64 * 8);
             let base = arena(t);
-            rt.grant(p, RawCap::write(base + DESC_OFF, RING_SLOTS * 16));
-            rt.grant(p, RawCap::write(base + PAYLOAD_OFF, RING_SLOTS * 256));
-            rt.grant(p, RawCap::write(base + QSTATE_OFF, 64));
-            rt.grant(p, RawCap::write(base + STATS_OFF, 64));
-            rt.grant(p, RawCap::write(base + SPARE_OFF, 0x100));
+            core.grant(p, RawCap::write(base + DESC_OFF, RING_SLOTS * 16));
+            core.grant(p, RawCap::write(base + PAYLOAD_OFF, RING_SLOTS * 256));
+            core.grant(p, RawCap::write(base + QSTATE_OFF, 64));
+            core.grant(p, RawCap::write(base + STATS_OFF, 64));
+            core.grant(p, RawCap::write(base + SPARE_OFF, 0x100));
             p
         })
         .collect();
     MtWorld {
-        core: rt.share(),
+        core,
         module: m,
         workers,
     }

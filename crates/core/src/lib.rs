@@ -37,7 +37,9 @@
 //! - guard statistics for the Figure 13 cost breakdown ([`stats`]);
 //! - an unkeyed multiply-rotate hasher for maps keyed by kernel-assigned
 //!   ids and addresses ([`fast_hash`]);
-//! - the [`Runtime`] façade ([`runtime`]) used by the simulated kernel.
+//! - the shared [`RuntimeCore`] ([`runtime`]) and the per-thread
+//!   [`GuardHandle`] ([`handle`]) that executes guards against it — the
+//!   simulated kernel's CPUs each own one handle.
 
 pub mod actions;
 pub mod caps;
@@ -60,9 +62,7 @@ pub use fast_hash::{FastMap, FastSet};
 pub use handle::GuardHandle;
 pub use iface::{FnDecl, Param, TypeLayouts};
 pub use principal::{ModuleId, PrincipalId, PrincipalKind};
-pub use runtime::{
-    ConstId, IteratorFn, IteratorId, KfreeSweep, RetireSweep, Runtime, RuntimeCore, ThreadId,
-};
+pub use runtime::{ConstId, IteratorFn, IteratorId, KfreeSweep, RetireSweep, RuntimeCore};
 pub use stats::{GuardCosts, GuardKind, GuardStats, ALL_GUARD_KINDS};
 pub use writer_index::{LinearWriterIndex, WriterIndex, WriterSetId};
 

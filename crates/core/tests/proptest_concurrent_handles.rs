@@ -7,8 +7,8 @@
 //! so the property exercises exactly the state a worker thread would
 //! carry between operations of other threads — any missing epoch bump
 //! or mis-stamped cache fill shows up as a handle answering from stale
-//! state. The facade `Runtime` is interleaved as a third guard surface
-//! (its lanes are the same mechanism the simulated kernel uses).
+//! state. The handle that applies the core mutations, as a kernel CPU's
+//! does, is checked as one more guard surface beside them.
 //!
 //! Sequences include revocations from the shared principal (hierarchy
 //! invalidation through every handle), and ranges whose end arithmetic
@@ -16,12 +16,14 @@
 
 use proptest::prelude::*;
 
-use lxfi_core::{GuardHandle, ModuleId, PrincipalId, RawCap, Runtime, ThreadId};
+use std::sync::Arc;
+
+use lxfi_core::{GuardHandle, ModuleId, PrincipalId, RawCap, RuntimeCore};
 
 /// Principal slots: slot 0 is the module's shared principal, slots
 /// 1..NSLOTS are instances.
 const NSLOTS: usize = 5;
-/// Guard handles driven concurrently (plus the facade's own lane).
+/// Guard handles driven concurrently (plus the mutating handle).
 const NHANDLES: usize = 3;
 
 const STACK_BASE: u64 = 0xffff_9000_0000_0000;
@@ -38,7 +40,7 @@ enum Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     let slot = 0usize..NSLOTS;
-    let handle = 0usize..NHANDLES + 1; // NHANDLES = the facade lane
+    let handle = 0usize..NHANDLES + 1; // NHANDLES = the mutating handle
     let addr = 0x10_0000u64..0x10_2000;
     let size = prop_oneof![1u64..64, 64u64..2000, Just(8192u64)];
     let len = prop_oneof![1u64..16, Just(64u64), Just(4096u64)];
@@ -127,19 +129,20 @@ fn boundaries() -> Vec<u64> {
 }
 
 fn check_sequence(ops: &[Op]) {
-    let mut rt = Runtime::with_shard_boundaries(boundaries());
+    let mut rt: GuardHandle =
+        GuardHandle::new(Arc::new(RuntimeCore::with_shard_boundaries(boundaries())));
     let m = rt.register_module("pt");
-    rt.register_thread(ThreadId(0), STACK_BASE, 0x2000);
+    rt.set_kernel_stack(STACK_BASE, 0x2000);
     let mut slots = vec![rt.shared_principal(m)];
     for i in 1..NSLOTS {
         slots.push(rt.principal_for_name(m, 0x9000 + i as u64 * 8));
     }
     let mut handles: Vec<GuardHandle> = (0..NHANDLES)
-        .map(|_| GuardHandle::new(rt.share()))
+        .map(|_| GuardHandle::new(rt.core().clone()))
         .collect();
     let mut naive = Naive::new();
 
-    let check_on = |rt: &mut Runtime,
+    let check_on = |rt: &mut GuardHandle,
                     handles: &mut Vec<GuardHandle>,
                     slots: &[PrincipalId],
                     h: usize,
@@ -148,11 +151,10 @@ fn check_sequence(ops: &[Op]) {
                     l: u64|
      -> bool {
         if h == NHANDLES {
-            // The facade's own lane (what the simulated kernel drives).
-            let t = ThreadId(0);
-            rt.thread(t).set_current(Some((ModuleId(0), slots[slot])));
-            let ok = rt.check_write(t, a, l).is_ok();
-            rt.thread(t).set_current(None);
+            // The mutating handle's own lane (what a kernel CPU drives).
+            rt.set_current(Some((ModuleId(0), slots[slot])));
+            let ok = rt.check_write(a, l).is_ok();
+            rt.set_current(None);
             ok
         } else {
             let hd = &mut handles[h];
@@ -223,7 +225,7 @@ fn check_sequence(ops: &[Op]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every handle (and the facade lane) agrees with the naive model
+    /// Every handle (and the mutating handle) agrees with the naive model
     /// under random interleavings of guard checks and core mutations.
     #[test]
     fn handles_agree_with_oracle(

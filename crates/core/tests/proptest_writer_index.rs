@@ -4,10 +4,11 @@
 //! grant/revoke/transfer sequences and must agree on `writers_of` at
 //! every probe:
 //!
-//! 1. the live [`Runtime`] (whose `WriterIndex` is maintained
-//!    incrementally on every capability mutation),
-//! 2. the retired global principal walk (`Runtime::writers_of_linear` /
-//!    [`LinearWriterIndex`]),
+//! 1. the live [`RuntimeCore`] (whose `WriterIndex` is maintained
+//!    incrementally on every capability mutation), driven through a
+//!    [`GuardHandle`] so the debug-build kfree-hint cross-check runs,
+//! 2. the retired global principal walk
+//!    ([`RuntimeCore::writers_of_linear`] / [`LinearWriterIndex`]),
 //! 3. a naive model: one `Vec<(addr, size)>` of granted ranges per
 //!    principal, probed longhand with the documented saturating
 //!    semantics.
@@ -25,9 +26,11 @@
 //! near-`MAX` boundaries — since shard-boundary splits must never change
 //! a `writers_of` answer.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
-use lxfi_core::{LinearWriterIndex, PrincipalId, RawCap, Runtime};
+use lxfi_core::{GuardHandle, LinearWriterIndex, PrincipalId, RawCap};
 
 const NPRINC: usize = 5;
 
@@ -113,9 +116,9 @@ impl Naive {
     }
 }
 
-/// A runtime with `NPRINC` instance principals to mutate.
-fn runtime_with_principals() -> (Runtime, Vec<PrincipalId>) {
-    let mut rt = Runtime::new();
+/// A handle over a fresh core with `NPRINC` instance principals to mutate.
+fn runtime_with_principals() -> (GuardHandle, Vec<PrincipalId>) {
+    let rt: GuardHandle = GuardHandle::new(Arc::new(RuntimeCore::new()));
     let m = rt.register_module("pt");
     let princs: Vec<PrincipalId> = (0..NPRINC)
         .map(|i| rt.principal_for_name(m, 0x9000 + i as u64 * 8))

@@ -203,7 +203,7 @@ fn barrier_phased_syscall_vs_load_vs_revoke() {
 }
 
 /// Runs the canonical workload either concurrently (3 extra CPUs) or
-/// single-threaded on the facade, and returns the post-quiescence
+/// single-threaded on the `Kernel` facade, and returns the post-quiescence
 /// observables the oracle compares.
 fn run_workload(concurrent: bool) -> (Vec<u64>, Vec<Vec<lxfi_core::PrincipalId>>) {
     const A_ROUNDS: u64 = 40;
